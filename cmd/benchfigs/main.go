@@ -8,12 +8,15 @@
 //	benchfigs -fig 9 -out dir   # Figure 9: all discovered paths (SVG)
 //	benchfigs -fig 10 -out dir  # Figure 10: top-20 in the city centre (SVG)
 //	benchfigs -fig comm         # communication ablation (naive vs RayTrace)
+//	benchfigs -fig paper        # accuracy-vs-communication curve → BENCH_paper.json
 //	benchfigs -table 2          # Table 2: parameters
 //	benchfigs -all -out dir     # everything
 //
 // -quick shrinks the workload (fewer objects, smaller network) so a full
 // pass finishes in well under a minute; drop it to run the paper-scale
-// parameters.
+// parameters. -fig paper ignores -quick and -seed: the curve always comes
+// from the fixed QuickBase seed-21 configuration, so the file it writes
+// into -out is reproducible byte for byte apart from its host fields.
 package main
 
 import (
@@ -28,10 +31,10 @@ import (
 
 func main() {
 	var (
-		fig   = flag.String("fig", "", "figure to regenerate: 7, 8, 9, 10, comm")
+		fig   = flag.String("fig", "", "figure to regenerate: 7, 8, 9, 10, comm, paper")
 		table = flag.String("table", "", "table to regenerate: 2")
 		all   = flag.Bool("all", false, "regenerate everything")
-		out   = flag.String("out", ".", "output directory for SVG figures")
+		out   = flag.String("out", ".", "output directory for SVG figures and BENCH_paper.json")
 		seed  = flag.Int64("seed", 1, "random seed")
 		quick = flag.Bool("quick", false, "scaled-down workload for fast runs")
 	)
@@ -109,6 +112,19 @@ func main() {
 		if err := experiment.WriteCommRows(os.Stdout, rows); err != nil {
 			fatal(err)
 		}
+		fmt.Println()
+	}
+	if *all || *fig == "paper" {
+		fmt.Println("== Paper curve: SinglePath accuracy vs RayTrace messages ==")
+		rep, err := experiment.RunPaper(true)
+		if err != nil {
+			fatal(err)
+		}
+		path := filepath.Join(*out, "BENCH_paper.json")
+		if err := rep.WriteFile(path); err != nil {
+			fatal(err)
+		}
+		fmt.Println("wrote", path)
 		fmt.Println()
 	}
 	if !*all && *fig == "" && *table == "" {

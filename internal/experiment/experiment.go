@@ -34,7 +34,7 @@ type Row struct {
 	DPIndexSize  float64       // DP benchmark: avg segments stored
 	SPScore      float64       // SinglePath: avg top-k score
 	DPScore      float64       // DP benchmark: avg top-k score
-	SPTime       time.Duration // SinglePath: avg per-epoch processing time
+	SPTime       time.Duration // SinglePath: avg boundary Tick (window slide, epoch, re-seeding)
 	UpMessages   int           // filtered messages sent by RayTrace
 	Measurements int           // naive message count for comparison
 }

@@ -277,3 +277,21 @@ func TestRecorderSeqContiguity(t *testing.T) {
 	}
 	_ = fmt.Sprint(evs)
 }
+
+// BenchmarkRecord bounds the cost of one Record. The recorder sits on the
+// WAL rotation, epoch barrier and prober paths, so the ingest benchmarks
+// (which run with it live, as production does) can attribute drift to it.
+func BenchmarkRecord(b *testing.B) {
+	rec := New(1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Record(EvEpochBarrier,
+			KV("epoch", "12"),
+			KV("clock", "120"),
+			KV("paths", "64"))
+	}
+	b.StopTimer()
+	if got := len(rec.Snapshot("", time.Time{}, 0)); got == 0 {
+		b.Fatalf("recorder ring empty after %d records", b.N)
+	}
+}

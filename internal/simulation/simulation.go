@@ -1,23 +1,25 @@
 // Package simulation drives the complete distributed environment of the
-// paper (Section 3.2): N moving objects, each running a RayTrace filter,
-// stream noisy measurements; state messages travel to the coordinator and
-// are answered at epoch boundaries (every Λ timestamps); the coordinator
-// runs SinglePath, maintains the MotionPath index and the sliding hotness
+// paper (Section 3.2): N moving objects stream noisy measurements into one
+// hotpaths.System, the same filter → report → epoch → respond loop the
+// served daemons run. Each object's RayTrace filter raises state messages;
+// at epoch boundaries (every Λ timestamps) the SinglePath coordinator
+// answers them, maintains the MotionPath index and the sliding hotness
 // window, and reports the top-k hottest motion paths.
 //
 // The harness also runs the paper's DP benchmark (opening-window
 // Douglas-Peucker + hot-segment store) on the same measurement stream when
 // enabled, so every experiment reports both methods under identical input.
 // Message and byte counts account the communication the distributed setting
-// would incur; the naive upload volume (every measurement shipped) is
-// tracked alongside for the communication-savings ablation.
+// would incur, derived from the System's counters; the naive upload volume
+// (every measurement shipped) is tracked alongside for the
+// communication-savings ablation.
 package simulation
 
 import (
 	"fmt"
 	"time"
 
-	"hotpaths/internal/coordinator"
+	"hotpaths"
 	"hotpaths/internal/dp"
 	"hotpaths/internal/geom"
 	"hotpaths/internal/motion"
@@ -98,11 +100,11 @@ func (c *Config) ApplyDefaults() {
 type EpochStats struct {
 	Epoch       int
 	Now         trajectory.Time
-	Reports     int           // state messages processed this epoch
+	Reports     int           // state messages in this epoch's batch
 	Responses   int           // responses sent
 	IndexSize   int           // motion paths stored after processing
 	TopKScore   float64       // avg hotness×length of the top-k set
-	ProcTime    time.Duration // SinglePath processing time
+	ProcTime    time.Duration // the boundary Tick: window slide, SinglePath, filter re-seeding
 	DPIndexSize int           // DP segments stored (if RunDP)
 	DPTopKScore float64       // DP top-k score (if RunDP)
 }
@@ -119,14 +121,14 @@ type Comm struct {
 
 // Result aggregates a complete run.
 type Result struct {
-	Config     Config
-	PerEpoch   []EpochStats
-	Comm       Comm
-	TopK       []motion.HotPath // final top-k set
-	AllPaths   []motion.HotPath // all live paths at the end
-	DPTopK     []motion.HotPath
-	DPAll      []motion.HotPath
-	CoordStats coordinator.Stats
+	Config   Config
+	PerEpoch []EpochStats
+	Comm     Comm
+	TopK     []motion.HotPath // final top-k set
+	AllPaths []motion.HotPath // all live paths at the end
+	DPTopK   []motion.HotPath
+	DPAll    []motion.HotPath
+	Stats    hotpaths.Stats // the System's counters at the end
 
 	// Averages per epoch (the paper's reported quantities).
 	AvgIndexSize   float64
@@ -160,18 +162,22 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	bounds := cfg.Net.Bounds().Expand(cfg.Eps * 2)
-	coord, err := coordinator.New(coordinator.Config{
-		Bounds: bounds,
-		Cols:   cfg.GridCols,
-		Rows:   cfg.GridRows,
-		W:      cfg.W,
-		Eps:    cfg.Eps,
+	sys, err := hotpaths.New(hotpaths.Config{
+		Eps:   cfg.Eps,
+		W:     int64(cfg.W),
+		Epoch: int64(cfg.Epoch),
+		K:     cfg.K,
+		Bounds: hotpaths.Rect{
+			Min: hotpaths.Pt(bounds.Lo.X, bounds.Lo.Y),
+			Max: hotpaths.Pt(bounds.Hi.X, bounds.Hi.Y),
+		},
+		GridCols: cfg.GridCols,
+		GridRows: cfg.GridRows,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	filters := make([]*raytrace.Filter, cfg.N)
 	var dpWins []*dp.OpeningWindow
 	var dpStore *dp.HotSegments
 	if cfg.RunDP {
@@ -183,29 +189,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Config: cfg}
-	var pending []coordinator.Report
-
-	enqueue := func(obj int, st raytrace.State) {
-		pending = append(pending, coordinator.Report{ObjectID: obj, State: st})
-		res.Comm.UpMessages++
-		res.Comm.UpBytes += raytrace.StateBytes
-	}
+	// prev holds the counters read just before the previous boundary's
+	// Tick: the reports raised since then, re-seeding replays included,
+	// are exactly the batch the next boundary processes.
+	var prev hotpaths.Stats
 
 	for now := trajectory.Time(1); now <= cfg.Duration; now++ {
 		for _, m := range world.Tick(now) {
-			res.Comm.Measurements++
-			res.Comm.NaiveUpBytes += measurementBytes
-			// RayTrace pipeline.
-			if f := filters[m.ObjectID]; f == nil {
-				filters[m.ObjectID] = raytrace.New(m.TP, cfg.Eps)
-			} else {
-				st, report, err := f.Process(m.TP)
-				if err != nil {
-					return nil, fmt.Errorf("object %d at t=%d: %w", m.ObjectID, now, err)
-				}
-				if report {
-					enqueue(m.ObjectID, st)
-				}
+			// RayTrace + SinglePath pipeline.
+			if err := sys.Observe(m.ObjectID, m.TP.P.X, m.TP.P.Y, int64(m.TP.T)); err != nil {
+				return nil, fmt.Errorf("t=%d: %w", now, err)
 			}
 			// DP pipeline.
 			if cfg.RunDP {
@@ -224,47 +217,33 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
-
-		// Slide the hotness windows every timestamp.
-		coord.Advance(now)
 		if cfg.RunDP {
 			dpStore.Advance(now)
 		}
 
-		// Epoch boundary: the coordinator processes the batch and responds.
+		// Every Tick slides the hotness window; at an epoch boundary it
+		// also processes the pending batch and re-seeds the filters.
+		before := sys.Stats()
+		start := time.Now()
+		if err := sys.Tick(int64(now)); err != nil {
+			return nil, err
+		}
+		tickTime := time.Since(start)
 		if now%cfg.Epoch != 0 {
 			continue
 		}
-		batch := pending
-		pending = nil
-		start := time.Now()
-		resps, err := coord.ProcessEpoch(batch)
-		procTime := time.Since(start)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range resps {
-			res.Comm.DownMessages++
-			res.Comm.DownBytes += raytrace.ResponseBytes
-			st, report, err := filters[r.ObjectID].Respond(r.End)
-			if err != nil {
-				return nil, fmt.Errorf("respond to object %d: %w", r.ObjectID, err)
-			}
-			if report {
-				// The replayed buffer violated the fresh SSA: this report
-				// joins the next epoch's batch.
-				enqueue(r.ObjectID, st)
-			}
-		}
+		snap := sys.Snapshot()
+		after := snap.Stats()
 		es := EpochStats{
 			Epoch:     len(res.PerEpoch) + 1,
 			Now:       now,
-			Reports:   len(batch),
-			Responses: len(resps),
-			IndexSize: coord.IndexSize(),
-			TopKScore: coord.Score(cfg.K),
-			ProcTime:  procTime,
+			Reports:   before.Reports - prev.Reports,
+			Responses: after.Responses - before.Responses,
+			IndexSize: after.IndexSize,
+			TopKScore: snap.Score(),
+			ProcTime:  tickTime,
 		}
+		prev = before
 		if cfg.RunDP {
 			es.DPIndexSize = dpStore.IndexSize()
 			es.DPTopKScore = dpStore.Score(cfg.K)
@@ -272,15 +251,42 @@ func Run(cfg Config) (*Result, error) {
 		res.PerEpoch = append(res.PerEpoch, es)
 	}
 
-	res.TopK = coord.TopK(cfg.K)
-	res.AllPaths = coord.AllPaths()
-	res.CoordStats = coord.Stats()
+	snap := sys.Snapshot()
+	st := snap.Stats()
+	res.Stats = st
+	res.Comm = Comm{
+		UpMessages:   st.Reports,
+		UpBytes:      int64(st.Reports) * raytrace.StateBytes,
+		DownMessages: st.Responses,
+		DownBytes:    int64(st.Responses) * raytrace.ResponseBytes,
+		Measurements: st.Observations,
+		NaiveUpBytes: int64(st.Observations) * measurementBytes,
+	}
+	res.TopK = motionPaths(snap.TopK())
+	res.AllPaths = motionPaths(snap.HotPaths())
 	if cfg.RunDP {
 		res.DPTopK = dpStore.TopK(cfg.K)
 		res.DPAll = dpStore.TopK(0)
 	}
 	res.computeAverages()
 	return res, nil
+}
+
+// motionPaths converts the System's paths to the form the DP store and
+// the SVG renderer share, so both methods' results compare directly.
+func motionPaths(in []hotpaths.HotPath) []motion.HotPath {
+	out := make([]motion.HotPath, len(in))
+	for i, hp := range in {
+		out[i] = motion.HotPath{
+			Path: motion.Path{
+				ID: motion.PathID(hp.ID),
+				S:  geom.Pt(hp.Start.X, hp.Start.Y),
+				E:  geom.Pt(hp.End.X, hp.End.Y),
+			},
+			Hotness: hp.Hotness,
+		}
+	}
+	return out
 }
 
 func (r *Result) computeAverages() {

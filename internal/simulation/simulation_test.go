@@ -5,6 +5,7 @@ import (
 
 	"hotpaths/internal/roadnet"
 	"hotpaths/internal/trajectory"
+	"hotpaths/internal/workload"
 )
 
 // smallConfig returns a laptop-fast configuration over a small network.
@@ -187,8 +188,8 @@ func TestHotnessConservation(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("no live hotness at end of run")
 	}
-	if total > res.CoordStats.Crossings {
-		t.Errorf("live hotness %d exceeds total crossings %d", total, res.CoordStats.Crossings)
+	if total > res.Stats.Crossings {
+		t.Errorf("live hotness %d exceeds total crossings %d", total, res.Stats.Crossings)
 	}
 }
 
@@ -202,9 +203,35 @@ func TestEpochCadence(t *testing.T) {
 	if len(res.PerEpoch) != 9 {
 		t.Errorf("epochs = %d want 9 (t=10..90)", len(res.PerEpoch))
 	}
+	reports, responses := 0, 0
 	for i, e := range res.PerEpoch {
 		if e.Now != trajectory.Time((i+1)*10) {
 			t.Errorf("epoch %d at t=%d", i, e.Now)
 		}
+		reports += e.Reports
+		responses += e.Responses
+	}
+	// Responses go out only at boundaries, so the per-epoch counts account
+	// for every one; reports raised after the last boundary (t=91..95, and
+	// re-seeding replays at t=90) wait in no epoch's batch yet.
+	if responses != res.Comm.DownMessages {
+		t.Errorf("per-epoch responses sum to %d, Comm.DownMessages = %d", responses, res.Comm.DownMessages)
+	}
+	if reports > res.Comm.UpMessages {
+		t.Errorf("per-epoch reports sum to %d > Comm.UpMessages = %d", reports, res.Comm.UpMessages)
+	}
+
+	world, err := workload.New(cfg.Net, workload.Config{
+		N: cfg.N, Agility: cfg.Agility, Step: cfg.Step, Err: cfg.Err, Seed: cfg.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitted := 0
+	for now := trajectory.Time(1); now <= cfg.Duration; now++ {
+		emitted += len(world.Tick(now))
+	}
+	if res.Comm.Measurements != emitted {
+		t.Errorf("Comm.Measurements = %d, workload emitted %d observations", res.Comm.Measurements, emitted)
 	}
 }
