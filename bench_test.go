@@ -25,7 +25,6 @@ import (
 	"hotpaths/internal/geom"
 	"hotpaths/internal/gridindex"
 	"hotpaths/internal/hotness"
-	"hotpaths/internal/imai"
 	"hotpaths/internal/motion"
 	"hotpaths/internal/overlap"
 	"hotpaths/internal/raytrace"
@@ -667,40 +666,6 @@ func reportObsRate(b *testing.B, obsPerIter int) {
 }
 
 // --- Ablation benches (DESIGN.md Section 5) ---
-
-// BenchmarkAblationImai compares the on-line RayTrace segment count against
-// the offline anchored greedy on identical single-object inputs.
-func BenchmarkAblationImai(b *testing.B) {
-	pts := benchWalk(5000, 17)
-	const eps = 5.0
-	var offline, online int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		offline, err = imai.SegmentCount(pts, eps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f := raytrace.New(pts[0], eps)
-		online = 0
-		for _, p := range pts[1:] {
-			st, report, err := f.Process(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for report {
-				online++
-				st, report, err = f.Respond(trajectory.TP(st.FSA.Centroid(), st.Te))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(offline), "offline-segs")
-	b.ReportMetric(float64(online), "online-segs")
-}
 
 // BenchmarkAblationGridCell sweeps the coordinator grid resolution.
 func BenchmarkAblationGridCell(b *testing.B) {

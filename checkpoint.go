@@ -6,16 +6,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
-	"hotpaths/internal/coordinator"
 	"hotpaths/internal/engine"
-	"hotpaths/internal/raytrace"
-	"hotpaths/internal/trajectory"
 )
 
-// Checkpoint codec: the serialized form of a System's or Engine's complete
-// state, written by the durability layer at epoch boundaries so recovery
+// Checkpoint codec: the serialized form of an Engine's complete state, written by the durability layer at epoch boundaries so recovery
 // replays at most one window of WAL records instead of the full history.
 //
 // The payload is framed as
@@ -37,8 +32,8 @@ var checkpointMagic = []byte("HPCK")
 var checkpointCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // checkpointBody is the gob-encoded checkpoint content. engine.State is
-// deployment-agnostic: System and Engine dump to and restore from the
-// same structure.
+// independent of the filter tier's mode, so a checkpoint restores into a
+// System or an Engine of any shard count.
 type checkpointBody struct {
 	Config Config
 	State  engine.State
@@ -50,11 +45,16 @@ func encodeCheckpoint(cfg Config, st engine.State) ([]byte, error) {
 	if err := gob.NewEncoder(&body).Encode(checkpointBody{Config: cfg, State: st}); err != nil {
 		return nil, fmt.Errorf("hotpaths: encode checkpoint: %w", err)
 	}
-	out := make([]byte, 0, len(checkpointMagic)+8+body.Len())
+	return frameCheckpoint(body.Bytes()), nil
+}
+
+// frameCheckpoint prepends the magic, version and body CRC.
+func frameCheckpoint(body []byte) []byte {
+	out := make([]byte, 0, len(checkpointMagic)+8+len(body))
 	out = append(out, checkpointMagic...)
 	out = binary.LittleEndian.AppendUint32(out, checkpointVersion)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body.Bytes(), checkpointCRC))
-	return append(out, body.Bytes()...), nil
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, checkpointCRC))
+	return append(out, body...)
 }
 
 // decodeCheckpoint validates and deserializes a checkpoint payload,
@@ -79,56 +79,4 @@ func decodeCheckpoint(b []byte, want Config) (engine.State, error) {
 		return engine.State{}, fmt.Errorf("hotpaths: checkpoint was written under config %+v, recovering with %+v", cb.Config, want)
 	}
 	return cb.State, nil
-}
-
-// dumpState captures the System's complete state in the shared
-// checkpoint structure. The System's pending list already interleaves
-// follow-up and observation-raised reports in batch order.
-func (s *System) dumpState() engine.State {
-	st := engine.State{
-		Clock:        trajectory.Time(s.lastNow),
-		Observations: int64(s.stats.Observations),
-		Reports:      int64(s.stats.Reports),
-		Responses:    s.stats.Responses,
-		Pending:      append([]coordinator.Report(nil), s.pending...),
-		Coord:        s.coord.DumpState(),
-	}
-	for id, f := range s.filters {
-		sig := s.sigmas[id]
-		st.Filters = append(st.Filters, engine.FilterEntry{
-			ObjectID: id,
-			SigmaX:   sig[0],
-			SigmaY:   sig[1],
-			Filter:   f.Dump(),
-		})
-	}
-	sort.Slice(st.Filters, func(i, j int) bool { return st.Filters[i].ObjectID < st.Filters[j].ObjectID })
-	return st
-}
-
-// restoreState replaces the System's state with a dumped one. The System
-// must be freshly built from the same Config.
-func (s *System) restoreState(st engine.State) error {
-	if err := s.coord.RestoreState(st.Coord); err != nil {
-		return err
-	}
-	s.filters = make(map[int]*raytrace.Filter, len(st.Filters))
-	s.sigmas = make(map[int][2]float64)
-	for _, fe := range st.Filters {
-		if _, dup := s.filters[fe.ObjectID]; dup {
-			return fmt.Errorf("hotpaths: restored filter for object %d is duplicated", fe.ObjectID)
-		}
-		s.filters[fe.ObjectID] = raytrace.Restore(fe.Filter, s.cfg.toleranceFunc(fe.SigmaX, fe.SigmaY))
-		if fe.SigmaX != 0 || fe.SigmaY != 0 {
-			s.sigmas[fe.ObjectID] = [2]float64{fe.SigmaX, fe.SigmaY}
-		}
-	}
-	s.pending = append([]coordinator.Report(nil), st.Pending...)
-	s.lastNow = int64(st.Clock)
-	s.stats = Stats{
-		Observations: int(st.Observations),
-		Reports:      int(st.Reports),
-		Responses:    st.Responses,
-	}
-	return nil
 }

@@ -20,8 +20,8 @@
 //	         [-engine] [-json] [-watch] [-wal-record DIR]
 //
 // The replay drives the hotpaths.Source interface, so -engine swaps the
-// single-goroutine System for the concurrent sharded Engine without
-// touching the replay loop; results are bit-identical. -json prints the
+// System's inline filter tier for the sharded one of the same engine
+// without touching the replay loop; results are bit-identical. -json prints the
 // final top-k in the canonical PathJSON wire form instead of a table.
 // -watch additionally subscribes a standing top-k query to the replay
 // and prints one line per epoch delta — the continuous-query view a
@@ -103,7 +103,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		netFile   = flag.String("net", "", "road network file (default: generate Athens-like)")
 		traceIn   = flag.String("trace", "", "replay a recorded measurement trace instead of simulating")
-		useEng    = flag.Bool("engine", false, "replay through the concurrent Engine instead of the System")
+		useEng    = flag.Bool("engine", false, "replay through the sharded filter tier instead of the inline one (System)")
 		jsonOut   = flag.Bool("json", false, "print replay results as canonical PathJSON")
 		watch     = flag.Bool("watch", false, "with -trace: print one subscription delta line per epoch while replaying")
 		walRecord = flag.String("wal-record", "", "journal the trace replay into this write-ahead log directory")

@@ -1,10 +1,6 @@
 package main
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -53,63 +49,13 @@ func instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &tracing.StatusRecorder{ResponseWriter: w}
 		h(rec, r)
 		hist.ObserveSince(t0)
-		cls := rec.status / 100
+		cls := rec.Status() / 100
 		if cls < 1 || cls > 5 {
-			cls = 2 // nothing written: net/http sends an implicit 200
+			cls = 2 // codes outside 1xx-5xx count as 2xx
 		}
 		counts[cls-1].Inc()
 	}
-}
-
-// statusRecorder captures the response status for the class counters. It
-// implements Flusher unconditionally so the SSE /watch and /wal/stream
-// handlers — which type-assert their writer — keep streaming through the
-// wrapper, and forwards Hijacker/ReaderFrom to the underlying writer when
-// it supports them (connection takeover and sendfile keep working behind
-// the middleware stack).
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (r *statusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	if hj, ok := r.ResponseWriter.(http.Hijacker); ok {
-		return hj.Hijack()
-	}
-	return nil, nil, fmt.Errorf("hotpathsd: underlying ResponseWriter does not support hijacking")
-}
-
-func (r *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	if rf, ok := r.ResponseWriter.(io.ReaderFrom); ok {
-		return rf.ReadFrom(src)
-	}
-	// Strip ReadFrom from the destination or io.Copy would recurse right
-	// back into this method.
-	return io.Copy(struct{ io.Writer }{r.ResponseWriter}, src)
 }

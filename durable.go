@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"hotpaths/internal/engine"
 	"hotpaths/internal/flightrec"
 	"hotpaths/internal/tracing"
 	"hotpaths/internal/wal"
@@ -22,12 +21,12 @@ import (
 type DurableConfig struct {
 	Config
 
-	// Concurrent selects the backing deployment: false wraps the
-	// single-goroutine System, true wraps the sharded Engine. Either way
-	// the Durable write path is serialised by its own mutex (journaling
-	// fixes a total observation order — the order recovery replays), so
-	// Concurrent mainly buys concurrent reads and the Engine's batched
-	// filter tier.
+	// Concurrent chooses the filter tier of the one backing Engine: false
+	// runs the filters inline on the writing goroutine (a System), true
+	// runs them on shard goroutines (NewEngine). Either way the Durable
+	// write path is serialised by its own mutex (journaling fixes a total
+	// observation order — the order recovery replays), so Concurrent
+	// mainly buys the sharded tier's batched, parallel filter work.
 	Concurrent bool
 
 	// Shards, Buffer are the Engine's concurrency knobs (Concurrent only).
@@ -92,13 +91,13 @@ type WALStats struct {
 	Replayed            uint64 // WAL records replayed while opening
 }
 
-// Durable wraps a System or Engine with a write-ahead log: every Observe
-// and Tick is journaled before it is applied, so the exact state can be
-// reconstructed after a crash by OpenDurable (which recovers
-// automatically) or Recover. Because both deployments are
-// observation-order-deterministic, replaying the journal reproduces the
-// pre-crash state bit for bit; periodic checkpoints bound the replay to
-// roughly one window.
+// Durable wraps an Engine — a System's inline one, or a sharded one —
+// with a write-ahead log: every Observe and Tick is journaled before it
+// is applied, so the exact state can be reconstructed after a crash by
+// OpenDurable (which recovers automatically) or Recover. Because the
+// engine is observation-order-deterministic in either mode, replaying
+// the journal reproduces the pre-crash state bit for bit; periodic
+// checkpoints bound the replay to roughly one window.
 //
 // Durable implements Source. All write methods are serialised by an
 // internal mutex — the journal fixes the total observation order that
@@ -118,7 +117,6 @@ type Durable struct {
 	dir string
 
 	mu     sync.Mutex
-	sys    *System // exactly one of sys/eng is non-nil
 	eng    *Engine
 	log    *wal.Log
 	clock  int64
@@ -221,18 +219,22 @@ func OpenDurable(dir string, cfg DurableConfig) (*Durable, error) {
 		return nil, err
 	}
 
-	d := &Durable{cfg: cfg, dir: dir, log: log}
-	if err := d.buildSource(); err != nil {
-		log.Close()
-		return nil, err
-	}
-	ckptLSN, replayed, err := recoverInto(dir, cfg.Config, d.source())
+	eng, err := cfg.newEngine()
 	if err != nil {
-		d.closeSource()
 		log.Close()
 		return nil, err
 	}
-	d.clock = d.snapshotClock()
+	d := &Durable{cfg: cfg, dir: dir, log: log, eng: eng}
+	fail := func(err error) (*Durable, error) {
+		eng.Close()
+		log.Close()
+		return nil, err
+	}
+	ckptLSN, replayed, err := recoverInto(dir, cfg.Config, eng)
+	if err != nil {
+		return fail(err)
+	}
+	d.clock = eng.Clock()
 	d.lastCkptClock = d.clock
 	d.lastCkptLSN = ckptLSN
 	d.replayed = replayed
@@ -241,25 +243,34 @@ func OpenDurable(dir string, cfg DurableConfig) (*Durable, error) {
 		// removed out-of-band): appending below its LSN would write
 		// records recovery skips.
 		if err := log.ResetTo(ckptLSN); err != nil {
-			d.closeSource()
-			log.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 	if replayed > 0 && cfg.CheckpointEvery >= 0 {
 		// Re-checkpoint after a non-trivial replay so the next recovery
 		// starts from here instead of paying the same replay again.
 		if err := d.checkpointLocked(context.Background()); err != nil {
-			d.closeSource()
-			log.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 	return d, nil
 }
 
+// newEngine builds the backing Engine: a System's inline one, or a
+// sharded one when Concurrent.
+func (cfg DurableConfig) newEngine() (*Engine, error) {
+	if !cfg.Concurrent {
+		sys, err := New(cfg.Config)
+		if err != nil {
+			return nil, err
+		}
+		return sys.Engine, nil
+	}
+	return NewEngine(EngineConfig{Config: cfg.Config, Shards: cfg.Shards, Buffer: cfg.Buffer})
+}
+
 // Recover rebuilds the state journaled in dir — latest checkpoint plus
-// WAL tail — into a fresh single-goroutine System and returns it, without
+// WAL tail — into a fresh System and returns it, without
 // opening the directory for writing. It is the read-only half of the
 // durability contract: the returned Source is bit-identical to the
 // Durable that wrote the journal at its last applied record. The
@@ -276,27 +287,17 @@ func Recover(dir string) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := recoverInto(dir, cfg, sys); err != nil {
+	if _, _, err := recoverInto(dir, cfg, sys.Engine); err != nil {
 		return nil, err
 	}
 	return sys, nil
 }
 
-// restorer is the state-restoration surface shared by System and Engine.
-type restorer interface {
-	Source
-	restoreCheckpoint(st engine.State) error
-}
-
-func (s *System) restoreCheckpoint(st engine.State) error { return s.restoreState(st) }
-
-func (e *Engine) restoreCheckpoint(st engine.State) error { return e.eng.RestoreState(st) }
-
-// recoverInto loads the newest decodable checkpoint into src and replays
+// recoverInto loads the newest decodable checkpoint into e and replays
 // the WAL tail after it. Apply errors during replay are ignored: the
 // original run saw the identical error from the identical call and
 // carried on, so ignoring it reproduces the original state.
-func recoverInto(dir string, cfg Config, src restorer) (ckptLSN uint64, replayed uint64, err error) {
+func recoverInto(dir string, cfg Config, e *Engine) (ckptLSN uint64, replayed uint64, err error) {
 	lsns, err := wal.Checkpoints(dir)
 	if err != nil {
 		return 0, 0, err
@@ -310,7 +311,7 @@ func recoverInto(dir string, cfg Config, src restorer) (ckptLSN uint64, replayed
 		if derr != nil {
 			continue // corrupt or mismatched checkpoint: fall back to an older one
 		}
-		if err := src.restoreCheckpoint(st); err != nil {
+		if err := e.eng.RestoreState(st); err != nil {
 			return 0, 0, err
 		}
 		ckptLSN = lsns[i]
@@ -318,7 +319,7 @@ func recoverInto(dir string, cfg Config, src restorer) (ckptLSN uint64, replayed
 	}
 	err = wal.ReadFrom(dir, ckptLSN, func(lsn uint64, r wal.Record) error {
 		replayed++
-		applyRecord(src, r)
+		applyRecord(e, r)
 		return nil
 	})
 	if err != nil {
@@ -329,57 +330,17 @@ func recoverInto(dir string, cfg Config, src restorer) (ckptLSN uint64, replayed
 
 // applyRecord replays one journaled call, discarding the error exactly as
 // the journaling path did after writing the record.
-func applyRecord(src Source, r wal.Record) {
+func applyRecord(e *Engine, r wal.Record) {
 	switch r.Kind {
 	case wal.KindObserve:
 		if r.SigmaX != 0 || r.SigmaY != 0 {
-			type noisy interface {
-				ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error
-			}
-			_ = src.(noisy).ObserveNoisy(int(r.ObjectID), r.X, r.Y, r.SigmaX, r.SigmaY, r.T)
+			_ = e.ObserveNoisy(int(r.ObjectID), r.X, r.Y, r.SigmaX, r.SigmaY, r.T)
 			return
 		}
-		_ = src.Observe(int(r.ObjectID), r.X, r.Y, r.T)
+		_ = e.Observe(int(r.ObjectID), r.X, r.Y, r.T)
 	case wal.KindTick:
-		_ = src.Tick(r.T)
+		_ = e.Tick(r.T)
 	}
-}
-
-func (d *Durable) buildSource() error {
-	if d.cfg.Concurrent {
-		eng, err := NewEngine(EngineConfig{Config: d.cfg.Config, Shards: d.cfg.Shards, Buffer: d.cfg.Buffer})
-		if err != nil {
-			return err
-		}
-		d.eng = eng
-		return nil
-	}
-	sys, err := New(d.cfg.Config)
-	if err != nil {
-		return err
-	}
-	d.sys = sys
-	return nil
-}
-
-func (d *Durable) source() restorer {
-	if d.eng != nil {
-		return d.eng
-	}
-	return d.sys
-}
-
-func (d *Durable) closeSource() {
-	if d.eng != nil {
-		d.eng.Close()
-	}
-}
-
-func (d *Durable) snapshotClock() int64 {
-	if d.eng != nil {
-		return d.eng.Snapshot().Clock()
-	}
-	return d.sys.lastNow
 }
 
 // Observe journals and applies one exact location measurement. It is
@@ -399,7 +360,7 @@ func (d *Durable) Observe(objectID int, x, y float64, t int64) error {
 	}); err != nil {
 		return fmt.Errorf("hotpaths: journal observe: %w", err)
 	}
-	return d.source().Observe(objectID, x, y, t)
+	return d.eng.Observe(objectID, x, y, t)
 }
 
 // ObserveNoisy journals and applies one Gaussian measurement. It requires
@@ -425,17 +386,16 @@ func (d *Durable) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int
 	}); err != nil {
 		return fmt.Errorf("hotpaths: journal observe: %w", err)
 	}
-	if d.eng != nil {
-		return d.eng.ObserveNoisy(objectID, x, y, sigmaX, sigmaY, t)
-	}
-	return d.sys.ObserveNoisy(objectID, x, y, sigmaX, sigmaY, t)
+	return d.eng.ObserveNoisy(objectID, x, y, sigmaX, sigmaY, t)
 }
 
 // ObserveBatch journals and applies a batch of observations under one
 // lock acquisition and one journal write — the fast path for network
 // ingestion. The batch is validated before anything is journaled, so a
 // rejected batch leaves both journal and state untouched (matching
-// Engine.ObserveBatch's all-or-nothing contract). A journal I/O failure
+// Engine.ObserveBatch's all-or-nothing contract); per-object processing
+// errors surface from the next epoch Tick, whichever filter tier backs
+// the Durable. A journal I/O failure
 // poisons the log — every later write fails until the process restarts
 // and recovers — so the journal can never silently diverge from the
 // acknowledged stream.
@@ -472,19 +432,7 @@ func (d *Durable) ObserveBatchCtx(ctx context.Context, batch []Observation) erro
 	if err != nil {
 		return fmt.Errorf("hotpaths: journal batch: %w", err)
 	}
-	if d.eng != nil {
-		return d.eng.ObserveBatchCtx(ctx, batch)
-	}
-	// The System applies record-by-record — exactly how recovery replays —
-	// with per-record errors ignored, matching applyRecord.
-	for _, o := range batch {
-		if o.SigmaX != 0 || o.SigmaY != 0 {
-			_ = d.sys.ObserveNoisy(o.ObjectID, o.X, o.Y, o.SigmaX, o.SigmaY, o.T)
-			continue
-		}
-		_ = d.sys.Observe(o.ObjectID, o.X, o.Y, o.T)
-	}
-	return nil
+	return d.eng.ObserveBatchCtx(ctx, batch)
 }
 
 // Tick journals and applies a clock advance. At epoch boundaries, once
@@ -510,12 +458,7 @@ func (d *Durable) TickCtx(ctx context.Context, now int64) error {
 	if aerr != nil {
 		return fmt.Errorf("hotpaths: journal tick: %w", aerr)
 	}
-	var err error
-	if d.eng != nil {
-		err = d.eng.TickCtx(ctx, now)
-	} else {
-		err = d.sys.Tick(now)
-	}
+	err := d.eng.TickCtx(ctx, now)
 	if now <= d.clock {
 		return err // clock did not advance; no epoch, no checkpoint
 	}
@@ -531,34 +474,15 @@ func (d *Durable) TickCtx(ctx context.Context, now int64) error {
 }
 
 // Snapshot captures an immutable view of the current hot paths, counters
-// and clock. With a Concurrent backend it does not block writers.
-func (d *Durable) Snapshot() Snapshot {
-	if d.eng != nil {
-		return d.eng.Snapshot()
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sys.Snapshot()
-}
+// and clock. It does not block writers.
+func (d *Durable) Snapshot() Snapshot { return d.eng.Snapshot() }
 
 // Stats returns the underlying deployment's counters (no path copy).
-func (d *Durable) Stats() Stats {
-	if d.eng != nil {
-		return d.eng.Stats()
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sys.Stats()
-}
+func (d *Durable) Stats() Stats { return d.eng.Stats() }
 
-// Shards returns the backing Engine's shard count (1 for the
-// single-goroutine System backend).
-func (d *Durable) Shards() int {
-	if d.eng != nil {
-		return d.eng.Shards()
-	}
-	return 1
-}
+// Shards returns the backing Engine's shard count (1 for the inline
+// filter tier).
+func (d *Durable) Shards() int { return d.eng.Shards() }
 
 // Config returns the configuration with defaults applied.
 func (d *Durable) Config() Config { return d.cfg.Config }
@@ -594,15 +518,9 @@ func (d *Durable) checkpointLocked(ctx context.Context) error {
 		return fmt.Errorf("hotpaths: checkpoint sync: %w", serr)
 	}
 	lsn := d.log.NextLSN()
-	var st engine.State
-	if d.eng != nil {
-		var err error
-		st, err = d.eng.eng.DumpState()
-		if err != nil {
-			return err
-		}
-	} else {
-		st = d.sys.dumpState()
+	st, err := d.eng.eng.DumpState()
+	if err != nil {
+		return err
 	}
 	payload, err := encodeCheckpoint(d.cfg.Config, st)
 	if err != nil {
@@ -688,9 +606,9 @@ func (d *Durable) WAL() WALStats {
 }
 
 // Close checkpoints the final state (unless automatic checkpoints are
-// disabled), commits and closes the journal, and stops the Engine's
-// shards when Concurrent. The directory recovers instantly on the next
-// OpenDurable. Close is idempotent.
+// disabled), commits and closes the journal, and closes the Engine. The
+// directory recovers instantly on the next OpenDurable. Close is
+// idempotent.
 func (d *Durable) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -706,14 +624,8 @@ func (d *Durable) Close() error {
 	if err := d.log.Close(); err != nil {
 		errs = append(errs, err)
 	}
-	if d.eng != nil {
-		if err := d.eng.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	} else {
-		// The Engine backend closes its subscriptions itself; the System
-		// has no Close, so shut its hub down here.
-		d.sys.subs.closeAll()
+	if err := d.eng.Close(); err != nil {
+		errs = append(errs, err)
 	}
 	d.closed = true
 	return errors.Join(errs...)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 
 	"hotpaths/internal/coordinator"
 	"hotpaths/internal/engine"
@@ -37,12 +38,14 @@ type EngineConfig struct {
 	Buffer int
 }
 
-// Engine is the concurrent, object-sharded deployment of the paper's
-// architecture. Observations hash by object id to shard goroutines running
-// the RayTrace filters; at epoch boundaries Tick drains the shards and
-// feeds the merged report batch — restored to arrival order — to a single
-// SinglePath coordinator, so results are bit-identical to a System fed the
-// same observations in the same order.
+// Engine is the package's one pipeline: RayTrace filters plus the
+// SinglePath coordinator. NewEngine builds it object-sharded:
+// observations hash by object id to shard goroutines running the
+// filters, and at epoch boundaries Tick drains the shards and feeds the
+// merged report batch — restored to arrival order — to a single
+// coordinator. System is the same Engine with its filters run inline on
+// the caller's goroutine, so the two are bit-identical when fed the same
+// observations in the same order.
 //
 // Concurrency contract: Observe/ObserveNoisy/ObserveBatch may be called
 // from many goroutines concurrently, and queries (TopK, HotPaths, Score,
@@ -61,7 +64,17 @@ type Engine struct {
 // NewEngine validates cfg and starts the engine's shard goroutines. Call
 // Close to stop them.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
-	c, err := cfg.Config.withDefaults()
+	shards := cfg.Shards
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	return newEngine(cfg.Config, shards, cfg.Buffer)
+}
+
+// newEngine builds the pipeline; shards == 0 selects the inline filter
+// tier System runs, with no goroutines.
+func newEngine(cfg Config, shards, buffer int) (*Engine, error) {
+	c, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -82,8 +95,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		Coord:     coord,
 		Epoch:     trajectory.Time(c.Epoch),
 		Tolerance: c.toleranceFunc,
-		Shards:    cfg.Shards,
-		Buffer:    cfg.Buffer,
+		Shards:    shards,
+		Buffer:    buffer,
 		OnEpoch: func(snap *coordinator.Snapshot, now trajectory.Time, st engine.Stats) {
 			e.subs.publish(Snapshot{
 				snap:  snap,
@@ -101,13 +114,17 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// Shards returns the engine's shard count.
+// Shards returns the engine's shard count (1 for System's inline filter
+// tier).
 func (e *Engine) Shards() int { return e.eng.Shards() }
 
-// Observe enqueues one exact location measurement for objectID at
-// timestamp t. Coordinates must be finite. Processing is asynchronous:
-// per-observation errors (e.g. a non-increasing timestamp) surface from
-// the next epoch-boundary Tick.
+// Observe feeds one exact location measurement for objectID at timestamp
+// t. Timestamps must be strictly increasing per object, and coordinates
+// must be finite. On a System the measurement is processed before Observe
+// returns, and a per-observation error (e.g. a non-increasing timestamp)
+// is returned at once. On a sharded Engine processing is asynchronous and
+// such errors surface from the next epoch-boundary Tick. In (ε,δ) mode
+// the measurement is treated as exact; use ObserveNoisy to pass its noise.
 func (e *Engine) Observe(objectID int, x, y float64, t int64) error {
 	if err := checkCoords(x, y); err != nil {
 		return err
@@ -119,8 +136,9 @@ func (e *Engine) Observe(objectID int, x, y float64, t int64) error {
 	})
 }
 
-// ObserveNoisy enqueues a Gaussian measurement with per-axis standard
-// deviations. It requires Config.Delta > 0.
+// ObserveNoisy feeds a Gaussian measurement with per-axis standard
+// deviations, with Observe's error contract. It requires
+// Config.Delta > 0.
 func (e *Engine) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error {
 	if e.cfg.Delta <= 0 {
 		return fmt.Errorf("hotpaths: ObserveNoisy requires Config.Delta > 0")
@@ -161,10 +179,12 @@ func checkObservation(i int, o Observation, delta float64) error {
 	return nil
 }
 
-// ObserveBatch enqueues a batch of observations in one pass — the fast
-// path for network ingestion: the batch is split into at most one queue
-// message per shard. Order is preserved per object. The batch is
-// validated up front, so a rejected batch enqueues nothing.
+// ObserveBatch feeds a batch of observations in one pass — the fast path
+// for network ingestion: a sharded Engine splits it into at most one
+// queue message per shard. Order is preserved per object. The batch is
+// validated up front, so a rejected batch enqueues nothing; per-object
+// processing errors surface from the next epoch-boundary Tick, on System
+// and Engine alike.
 func (e *Engine) ObserveBatch(batch []Observation) error {
 	return e.ObserveBatchCtx(context.Background(), batch)
 }
@@ -205,8 +225,8 @@ func (e *Engine) TickCtx(ctx context.Context, now int64) error {
 	return e.eng.TickCtx(ctx, trajectory.Time(now))
 }
 
-// Close drains and stops the shard goroutines and closes every
-// subscription channel (no further epochs can fire). Queries remain valid
+// Close drains and stops the shard goroutines (a System has none) and
+// closes every subscription channel (no further epochs can fire). Queries remain valid
 // after Close; ingestion, Tick and Subscribe fail. It is idempotent and
 // returns the first unsurfaced processing error, if any.
 func (e *Engine) Close() error {

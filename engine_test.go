@@ -79,19 +79,27 @@ func TestEngineMatchesSystem(t *testing.T) {
 
 // Many producers feeding disjoint object partitions concurrently, with
 // queries racing the ingestion — the -race backstop for the Engine's
-// locking discipline.
+// locking discipline, in both filter tiers.
 func TestEngineConcurrentIngest(t *testing.T) {
-	const (
-		producers = 4
-		nObjects  = 64
-		horizon   = 80
-	)
+	sys, err := New(engineTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := NewEngine(EngineConfig{Config: engineTestConfig(), Shards: 4, Buffer: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	t.Run("inline", func(t *testing.T) { testConcurrentIngest(t, sys.Engine) })
+	t.Run("shards=4", func(t *testing.T) { testConcurrentIngest(t, eng) })
+}
 
+func testConcurrentIngest(t *testing.T, eng *Engine) {
+	const (
+		producers = 4
+		nObjects  = 64
+		horizon   = 80
+	)
 	batches := IngestWorkload(nObjects, horizon, 7)
 	stop := make(chan struct{})
 	var readers sync.WaitGroup

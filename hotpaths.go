@@ -79,32 +79,31 @@
 //
 // # Concurrency: System vs Engine
 //
-// The package offers two deployments of the same architecture:
+// There is one pipeline, the Engine, and two ways to run its filter tier:
 //
-//   - System is single-goroutine: Observe, Tick and the queries must all be
-//     called from one goroutine. It is the right choice for simulation,
+//   - System (see New) runs the RayTrace filters inline, on the caller's
+//     goroutine: no shard goroutines, no queues, and Observe returns a
+//     per-object error at once. It is the right choice for simulation,
 //     trace replay, step-debugging, and any workload driven by a single
-//     loop — it has zero synchronisation overhead and its behaviour is
-//     trivially deterministic.
+//     loop — its behaviour is trivially deterministic.
 //   - Engine (see NewEngine) is the concurrent, object-sharded realisation
 //     of the paper's distributed design: objects hash to shards, each shard
 //     goroutine owns a bank of RayTrace filters fed through a buffered
-//     queue, and reports funnel into a single coordinator at epoch
+//     queue, and reports funnel into the single coordinator at epoch
 //     boundaries. Observe/ObserveBatch are safe to call from many
 //     goroutines at once (observations for the same object must still be
-//     time-ordered by their producer), so Engine is the right choice when
+//     time-ordered by their producer), so it is the right choice when
 //     many producers push observations concurrently — e.g. the
 //     cmd/hotpathsd network daemon — or when ingest throughput matters.
 //
 // Both produce bit-identical hot paths, scores and counters when fed the
-// same observations in the same order, because the Engine merges shard
-// reports back into the single-threaded arrival order before the
-// coordinator processes an epoch.
+// same observations in the same order, because the sharded tier merges
+// shard reports back into arrival order before the coordinator processes
+// an epoch.
 //
 // # Durability: OpenDurable and Recover
 //
-// Both deployments are in-memory; OpenDurable wraps either in a
-// write-ahead log so the discovered state survives crashes and restarts.
+// Both are in-memory; OpenDurable wraps either in a write-ahead log so the discovered state survives crashes and restarts.
 // Every Observe and Tick is journaled (length-prefixed, CRC-checksummed,
 // group-committed to disk every DurableConfig.FsyncInterval) before it is
 // applied; full-state checkpoints at epoch boundaries bound recovery to
@@ -151,9 +150,7 @@
 package hotpaths
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"hotpaths/internal/coordinator"
@@ -193,7 +190,7 @@ func (hp HotPath) Length() float64 {
 // Score is the paper's quality metric: hotness × length.
 func (hp HotPath) Score() float64 { return float64(hp.Hotness) * hp.Length() }
 
-// Config parameterises a System.
+// Config parameterises a deployment.
 type Config struct {
 	// Eps is the tolerance ε in metres (required, positive): discovered
 	// paths stay within Eps of the objects that cross them.
@@ -224,7 +221,7 @@ type Config struct {
 	GridCols, GridRows int
 }
 
-// Stats aggregates a System's lifetime counters.
+// Stats aggregates a deployment's lifetime counters.
 type Stats struct {
 	Observations int // measurements fed via Observe/ObserveNoisy
 	Reports      int // state messages the filters raised
@@ -236,24 +233,14 @@ type Stats struct {
 	IndexSize    int // currently stored motion paths
 }
 
-// System is an in-process deployment of the paper's architecture: the
-// per-object RayTrace filters plus the SinglePath coordinator. It is not
-// safe for concurrent use; drive it from a single goroutine.
+// System is the inline deployment of the paper's architecture: an Engine
+// whose RayTrace filters run on the caller's goroutine, with no shard
+// goroutines and no queues. Observe processes the measurement before it
+// returns and reports a per-object error at once. Every call serialises
+// on the engine's lock, so a System is safe for concurrent use, but it is
+// built for one driving loop: simulation, trace replay, step-debugging.
 type System struct {
-	cfg     Config
-	coord   *coordinator.Coordinator
-	filters map[int]*raytrace.Filter
-	// sigmas remembers each object's first-observation noise levels — the
-	// parameters its tolerance model was built with — so checkpoints can
-	// rebuild the filter's ToleranceFunc on restore.
-	sigmas  map[int][2]float64
-	pending []coordinator.Report
-	stats   Stats
-	lastNow int64
-	// subs fans epoch snapshots out to standing queries; it has its own
-	// mutex, so Subscription.Close and channel reads are goroutine-safe
-	// even though the System itself is single-goroutine.
-	subs hub
+	*Engine
 }
 
 // A ConfigError reports one invalid Config field, rejected by New or
@@ -309,46 +296,11 @@ func (cfg Config) newCoordinator() (*coordinator.Coordinator, error) {
 
 // New validates cfg and creates an empty System.
 func New(cfg Config) (*System, error) {
-	cfg, err := cfg.withDefaults()
+	e, err := newEngine(cfg, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	coord, err := cfg.newCoordinator()
-	if err != nil {
-		return nil, err
-	}
-	return &System{
-		cfg:     cfg,
-		coord:   coord,
-		filters: make(map[int]*raytrace.Filter),
-		sigmas:  make(map[int][2]float64),
-	}, nil
-}
-
-// Observe feeds one location measurement for objectID at timestamp t.
-// Timestamps must be strictly increasing per object, and coordinates must
-// be finite. In (ε,δ) mode the measurement is treated as exact; use
-// ObserveNoisy to pass its noise.
-func (s *System) Observe(objectID int, x, y float64, t int64) error {
-	if err := checkCoords(x, y); err != nil {
-		return err
-	}
-	return s.observe(objectID, trajectory.TP(geom.Pt(x, y), trajectory.Time(t)), 0, 0)
-}
-
-// ObserveNoisy feeds a Gaussian measurement with per-axis standard
-// deviations. It requires Config.Delta > 0.
-func (s *System) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error {
-	if s.cfg.Delta <= 0 {
-		return fmt.Errorf("hotpaths: ObserveNoisy requires Config.Delta > 0")
-	}
-	if err := checkCoords(x, y); err != nil {
-		return err
-	}
-	if err := checkSigmas(sigmaX, sigmaY); err != nil {
-		return err
-	}
-	return s.observe(objectID, trajectory.TP(geom.Pt(x, y), trajectory.Time(t)), sigmaX, sigmaY)
+	return &System{e}, nil
 }
 
 // finite rejects the values every geometric comparison downstream handles
@@ -393,26 +345,6 @@ func checkSigmas(sigmaX, sigmaY float64) error {
 	return nil
 }
 
-func (s *System) observe(objectID int, tp trajectory.TimePoint, sigmaX, sigmaY float64) error {
-	s.stats.Observations++
-	f, ok := s.filters[objectID]
-	if !ok {
-		s.filters[objectID] = raytrace.NewWithTolerance(tp, s.cfg.toleranceFunc(sigmaX, sigmaY))
-		if sigmaX != 0 || sigmaY != 0 {
-			s.sigmas[objectID] = [2]float64{sigmaX, sigmaY}
-		}
-		return nil
-	}
-	st, report, err := f.Process(tp)
-	if err != nil {
-		return fmt.Errorf("hotpaths: object %d: %w", objectID, err)
-	}
-	if report {
-		s.enqueue(objectID, st)
-	}
-	return nil
-}
-
 // toleranceFunc builds the per-point tolerance model: the fixed ε square,
 // or the Gaussian (ε,δ) rectangle when Delta and sigmas are set. The
 // retroactive minimum of ε/10 guards against unsatisfiable noise levels.
@@ -425,108 +357,6 @@ func (cfg Config) toleranceFunc(sigmaX, sigmaY float64) raytrace.ToleranceFunc {
 		m := uncertainty.Measurement{Mean: tp.P, SigmaX: sigmaX, SigmaY: sigmaY}
 		return uncertainty.ToleranceRectOrMin(m, eps, delta, eps/10)
 	}
-}
-
-func (s *System) enqueue(objectID int, st raytrace.State) {
-	s.pending = append(s.pending, coordinator.Report{ObjectID: objectID, State: st})
-	s.stats.Reports++
-}
-
-// Tick advances the system clock to now: the hotness window slides, and at
-// epoch boundaries — whenever the clock reaches or crosses a multiple of
-// Config.Epoch — the coordinator processes all pending reports and
-// re-seeds the reporting filters. Call it once per timestamp, after that
-// timestamp's Observes; sparse clocks that jump over a boundary still
-// trigger the epoch.
-func (s *System) Tick(now int64) error {
-	if now <= s.lastNow {
-		return fmt.Errorf("hotpaths: Tick(%d) after Tick(%d); time must advance", now, s.lastNow)
-	}
-	prev := s.lastNow
-	s.lastNow = now
-	s.coord.Advance(trajectory.Time(now))
-	if now/s.cfg.Epoch == prev/s.cfg.Epoch {
-		return nil
-	}
-	batch := s.pending
-	s.pending = nil
-	resps, err := s.coord.ProcessEpoch(batch)
-	if err != nil {
-		// Validation is deterministic per report, so a rejected batch can
-		// never succeed later; it is dropped rather than wedging every
-		// future epoch. RayTrace filters cannot produce such reports.
-		return err
-	}
-	// A sparse clock that jumped more than W past the reports' exit
-	// timestamps makes the just-recorded crossings already stale; expire
-	// them now so TopK/Score never surface phantom hot paths.
-	s.coord.Advance(trajectory.Time(now))
-	var errs []error
-	for _, r := range resps {
-		s.stats.Responses++
-		st, report, err := s.filters[r.ObjectID].Respond(r.End)
-		if err != nil {
-			// Respond validates before mutating, so the filter stays
-			// waiting; keep delivering the remaining responses rather than
-			// leaving other filters un-reseeded (mirrors Engine.Tick).
-			errs = append(errs, fmt.Errorf("hotpaths: respond to object %d: %w", r.ObjectID, err))
-			continue
-		}
-		if report {
-			s.enqueue(r.ObjectID, st)
-		}
-	}
-	// Fan the post-epoch state out to standing queries. The snapshot copy
-	// is skipped entirely while nobody subscribes; publication itself
-	// never blocks (see hub).
-	if s.subs.any() {
-		s.subs.publish(s.Snapshot())
-	}
-	return errors.Join(errs...)
-}
-
-// Config returns the system's configuration with defaults applied.
-func (s *System) Config() Config { return s.cfg }
-
-// TopK returns the Config.K hottest motion paths, hottest first. It is a
-// live accessor — shorthand for Snapshot().TopK(); use Snapshot directly
-// when several reads must agree on one instant.
-func (s *System) TopK() []HotPath {
-	return s.Snapshot().TopK()
-}
-
-// HotPaths returns every live motion path, hottest first. Shorthand for
-// Snapshot().HotPaths().
-func (s *System) HotPaths() []HotPath {
-	return s.Snapshot().HotPaths()
-}
-
-// Score returns the paper's quality metric over the current top-k set: the
-// average hotness×length. Shorthand for Snapshot().Score().
-func (s *System) Score() float64 { return s.Snapshot().Score() }
-
-// WriteGeoJSON writes every live motion path as a GeoJSON
-// FeatureCollection, hottest first, with hotness/length/score properties.
-// Shorthand for Snapshot().WriteGeoJSON(w).
-func (s *System) WriteGeoJSON(w io.Writer) error {
-	return s.Snapshot().WriteGeoJSON(w)
-}
-
-// Clock returns the timestamp of the last Tick — cheap (no snapshot),
-// for monitoring probes. Like every System method it must be called from
-// the goroutine driving the System.
-func (s *System) Clock() int64 { return s.lastNow }
-
-// Stats returns the system's counters.
-func (s *System) Stats() Stats {
-	cs := s.coord.Stats()
-	out := s.stats
-	out.Epochs = cs.Epochs
-	out.PathsCreated = cs.PathsCreated
-	out.PathsExpired = cs.PathsExpired
-	out.Crossings = cs.Crossings
-	out.IndexSize = s.coord.IndexSize()
-	return out
 }
 
 func convert(in []motion.HotPath) []HotPath {

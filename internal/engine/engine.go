@@ -1,46 +1,55 @@
-// Package engine implements the concurrent, object-sharded ingestion
-// pipeline behind hotpaths.Engine.
+// Package engine implements the ingestion pipeline behind every
+// hotpaths deployment: per-object RayTrace filters raise reports, and at
+// each epoch boundary the SinglePath coordinator processes the batch and
+// answers with new safe-area seeds. It is the package's one copy of that
+// loop; hotpaths.System, Engine, Durable and Follower all run it.
 //
 // # Architecture
 //
-// Observations hash by object id to one of N shards. Each shard is a
-// goroutine owning the RayTrace filters of its objects, fed through a
-// buffered queue, so per-object timestamp order is preserved (observations
-// for one object always land on one shard, and queues are FIFO per
-// sender). Filters run concurrently across shards; the coordinator tier
-// stays single-threaded.
+// The filter tier runs in one of two modes, chosen by Config.Shards.
 //
-// Every observation is stamped with a global sequence number when it
-// enters the engine. When a filter emits a state report, the report
-// carries the sequence number of the observation that triggered it. At an
-// epoch boundary Tick raises a flush barrier — a token per shard queue,
+// Sharded (Shards > 0): observations hash by object id to one of N
+// shards. Each shard is a goroutine owning the RayTrace filters of its
+// objects, fed through a buffered queue, so per-object timestamp order is
+// preserved (observations for one object always land on one shard, and
+// queues are FIFO per sender). Filters run concurrently across shards;
+// the coordinator tier stays single-threaded.
+//
+// Inline (Shards == 0): one filter bank, no goroutine and no queue.
+// Observe and ObserveBatch step the filters on the caller's goroutine
+// under the engine's write lock, and Observe returns a per-object error
+// at once. hotpaths.System is this mode.
+//
+// A sharded engine stamps every observation with a global sequence number
+// when it enters. When a filter emits a state report, the report carries
+// the sequence number of the observation that triggered it. At an epoch
+// boundary Tick raises a flush barrier — a token per shard queue,
 // acknowledged once everything queued before it has been processed — then
 // gathers the shards' report buffers, sorts them by sequence number, and
 // prepends the follow-up reports produced by the previous epoch's
-// responses. That is exactly the batch order the single-threaded
-// hotpaths.System would have produced for the same input order, so the
-// coordinator's order-sensitive SinglePath processing yields bit-identical
-// paths, hotness and counters.
+// responses. That is exactly the batch order an inline engine produces
+// for the same input order, so the coordinator's order-sensitive
+// SinglePath processing yields bit-identical paths, hotness and counters
+// at any shard count.
 //
 // # Synchronisation
 //
 // A single RWMutex protects the coordinator tier and the engine clock:
-// ingestion takes the read lock (many producers run concurrently, touching
-// only the sequence counter and the shard queues), while Tick and Close
-// take the write lock. While Tick holds the write lock no producer can
-// enqueue, so after the flush barrier the shard goroutines are guaranteed
-// idle and Tick may touch their filter banks directly — delivering epoch
-// responses without any per-message channel round trips. Queries
-// (TopK/AllPaths/Score/Stats) take the read lock: the coordinator is only
-// mutated under the write lock, so they are safe concurrently with
-// ingestion.
+// sharded ingestion takes the read lock (many producers run concurrently,
+// touching only the sequence counter and the shard queues), while inline
+// ingestion, Tick and Close take the write lock. While Tick holds the
+// write lock no producer can enqueue, so after the flush barrier the
+// shard goroutines are guaranteed idle and Tick may touch their filter
+// banks directly — delivering epoch responses without any per-message
+// channel round trips. Queries (TopK/AllPaths/Score/Stats) take the read
+// lock: the coordinator is only mutated under the write lock, so they are
+// safe concurrently with ingestion.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,7 +78,7 @@ type Observation struct {
 }
 
 // Config parameterises an engine. The coordinator and tolerance factory
-// are built by the public hotpaths package so that System and Engine share
+// are built by the public hotpaths package, so every deployment shares
 // one configuration surface.
 type Config struct {
 	// Coord is the coordinator tier processing epoch batches (required).
@@ -82,10 +91,13 @@ type Config struct {
 	// of the object's first observation (required).
 	Tolerance func(sigmaX, sigmaY float64) raytrace.ToleranceFunc
 
-	// Shards is the number of filter shards (default: GOMAXPROCS).
+	// Shards is the number of filter shards, each a goroutine fed through
+	// a queue. Zero selects inline mode: one filter bank stepped on the
+	// caller's goroutine, with no queue.
 	Shards int
 
-	// Buffer is the per-shard queue capacity in messages (default 256).
+	// Buffer is the per-shard queue capacity in messages (default 256;
+	// unused inline).
 	Buffer int
 
 	// OnEpoch, when set, is invoked once per epoch-boundary Tick — after
@@ -132,9 +144,10 @@ type Engine struct {
 	followUps []coordinator.Report // reports raised by the previous epoch's responses
 	responses int
 	followed  int // follow-up reports, counted into Stats.Reports
-	// Counter baselines carried over from a restored checkpoint (the
-	// shard-level atomics restart at zero after RestoreState).
-	baseObserved int64
+	// observed counts observations under the write lock: a restored
+	// checkpoint's baseline plus inline ingestion. Shard goroutines count
+	// theirs in their own atomics, which restart at zero on RestoreState.
+	observed     int64
 	baseReported int64
 	closed       bool
 }
@@ -150,20 +163,30 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Tolerance == nil {
 		return nil, fmt.Errorf("engine: Config.Tolerance is required")
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("engine: Config.Shards must not be negative, got %d", cfg.Shards)
 	}
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 256
 	}
 	e := &Engine{cfg: cfg, coord: cfg.Coord}
+	if e.inline() {
+		e.shards = []*shard{newShard(cfg.Tolerance)}
+		return e, nil
+	}
 	for i := 0; i < cfg.Shards; i++ {
-		s := newShard(cfg.Buffer, cfg.Tolerance)
+		s := newShard(cfg.Tolerance)
+		s.ch = make(chan msg, cfg.Buffer)
+		s.done = make(chan struct{})
 		e.shards = append(e.shards, s)
 		go s.run()
 	}
 	return e, nil
 }
+
+// inline reports whether the engine runs its one filter bank on the
+// caller's goroutine (Config.Shards == 0) instead of on shard goroutines.
+func (e *Engine) inline() bool { return e.cfg.Shards == 0 }
 
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
@@ -181,6 +204,9 @@ func (e *Engine) shardIndex(objectID int) int {
 // ObserveBatch (no per-shard grouping allocations). See ObserveBatch for
 // the ordering contract.
 func (e *Engine) Observe(o Observation) error {
+	if e.inline() {
+		return e.observeInline(o)
+	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
@@ -192,12 +218,31 @@ func (e *Engine) Observe(o Observation) error {
 	return nil
 }
 
+// observeInline steps o through the filter bank under the write lock and
+// returns its processing error at once; the next Tick does not repeat it.
+// It is System's per-point path, so it writes no shared atomics: the lock
+// covers the count, one bank's reports need no sequence number, and the
+// ingestion metrics (which time the sharded tier's enqueue) are skipped.
+func (e *Engine) observeInline(o Observation) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return ErrClosed
+	}
+	e.observed++
+	if err := e.shards[0].process(obs{Observation: o}); err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
+	return nil
+}
+
 // ObserveBatch enqueues a batch of observations, preserving their order
 // per object. It is safe to call from many goroutines, but observations
 // for the same object must be produced in timestamp order by a single
-// producer (or otherwise externally ordered). Processing is asynchronous:
+// producer (or otherwise externally ordered). In both modes
 // per-observation errors (e.g. a non-increasing timestamp) surface from
-// the next epoch-boundary Tick.
+// the next epoch-boundary Tick; inline the batch is processed before
+// ObserveBatch returns, sharded it is processed asynchronously.
 func (e *Engine) ObserveBatch(batch []Observation) error {
 	return e.ObserveBatchCtx(context.Background(), batch)
 }
@@ -212,6 +257,9 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error
 	_, span := tracing.StartSpan(ctx, "engine.observe_batch")
 	span.SetAttr("records", len(batch))
 	defer span.End()
+	if e.inline() {
+		return e.processBatch(batch)
+	}
 	t0 := time.Now()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -235,6 +283,24 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error
 	return nil
 }
 
+// processBatch steps an inline engine's filters through batch under the
+// write lock, keeping per-object errors for the next epoch Tick. Like
+// observeInline it records no ingestion metrics: those time the sharded
+// tier's enqueue.
+func (e *Engine) processBatch(batch []Observation) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return ErrClosed
+	}
+	e.observed += int64(len(batch))
+	s := e.shards[0]
+	for _, o := range batch {
+		s.keep(s.process(obs{Observation: o}))
+	}
+	return nil
+}
+
 // Tick advances the engine clock to now. The hotness window slides every
 // tick; at epoch boundaries — whenever the clock reaches or crosses a
 // multiple of Config.Epoch, so sparse client-driven clocks cannot skip an
@@ -243,8 +309,8 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error
 // reporting filters.
 // Tick must not be called concurrently with itself; it is safe
 // concurrently with ObserveBatch, but observations racing a Tick may only
-// be counted in a later epoch — callers wanting the System-identical
-// schedule must order Observe-before-Tick themselves.
+// be counted in a later epoch — callers wanting a deterministic schedule
+// must order Observe-before-Tick themselves.
 func (e *Engine) Tick(now trajectory.Time) error {
 	return e.TickCtx(context.Background(), now)
 }
@@ -319,22 +385,24 @@ func (e *Engine) tick(ctx context.Context, now trajectory.Time) (err error, view
 
 	// Collect this epoch's shard reports and restore arrival order.
 	// Shard errors (e.g. one object's non-increasing timestamps) are
-	// informational — the bad observation was skipped, exactly as a
-	// System caller that ignores an Observe error would skip it — so the
+	// informational — the bad observation was skipped, exactly as an
+	// inline caller that ignores an Observe error would skip it — so the
 	// epoch still processes everyone else's reports.
 	var errs []error
 	for _, s := range e.shards {
 		e.staged = append(e.staged, s.reports...)
-		s.reports = nil
+		s.reports = s.reports[:0]
 		if s.err != nil {
 			errs = append(errs, fmt.Errorf("engine: %w", s.err))
 			s.err = nil
 		}
 	}
-	sort.Slice(e.staged, func(i, j int) bool { return e.staged[i].seq < e.staged[j].seq })
+	e.sortStaged()
 
-	batch := make([]coordinator.Report, 0, len(e.followUps)+len(e.staged))
-	batch = append(batch, e.followUps...)
+	// The follow-ups lead the batch, in the buffer they were collected in;
+	// once processed the batch is spent, and that buffer collects this
+	// epoch's follow-ups. Steady-state epochs allocate no batch.
+	batch := e.followUps
 	for _, tr := range e.staged {
 		batch = append(batch, tr.rep)
 	}
@@ -343,12 +411,11 @@ func (e *Engine) tick(ctx context.Context, now trajectory.Time) (err error, view
 	span.SetAttr("responses", len(resps))
 	nReports, nResponses = len(batch), len(resps)
 	e.staged = e.staged[:0]
-	e.followUps = nil
+	e.followUps = batch[:0]
 	if perr != nil {
 		// Validation is deterministic per report, so a rejected batch can
 		// never succeed later; it is dropped rather than wedging every
-		// future epoch (mirrors System.Tick). RayTrace filters cannot
-		// produce such reports.
+		// future epoch. RayTrace filters cannot produce such reports.
 		errs = append(errs, perr)
 		return errors.Join(errs...), nil
 	}
@@ -378,9 +445,21 @@ func (e *Engine) tick(ctx context.Context, now trajectory.Time) (err error, view
 	return errors.Join(errs...), view
 }
 
+// sortStaged restores arrival order across the shards' reports. An
+// inline bank raises its reports in arrival order already.
+func (e *Engine) sortStaged() {
+	if !e.inline() {
+		sort.Slice(e.staged, func(i, j int) bool { return e.staged[i].seq < e.staged[j].seq })
+	}
+}
+
 // drainLocked flushes every shard queue and waits until all shards are
-// idle. Caller holds the write lock, so no new work can be enqueued.
+// idle. Caller holds the write lock, so no new work can be enqueued. An
+// inline engine has no queue to flush.
 func (e *Engine) drainLocked() {
+	if e.inline() {
+		return
+	}
 	acks := make([]chan struct{}, len(e.shards))
 	for i, s := range e.shards {
 		acks[i] = make(chan struct{})
@@ -409,8 +488,10 @@ func (e *Engine) Close() error {
 		if s.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("engine: %w", s.err)
 		}
-		close(s.ch)
-		<-s.done
+		if !e.inline() {
+			close(s.ch)
+			<-s.done
+		}
 	}
 	return firstErr
 }
@@ -453,7 +534,7 @@ func (e *Engine) Stats() Stats {
 
 func (e *Engine) statsLocked() Stats {
 	st := Stats{
-		Observations: int(e.baseObserved),
+		Observations: int(e.observed),
 		Reports:      e.followed + int(e.baseReported),
 		Responses:    e.responses,
 		IndexSize:    e.coord.IndexSize(),

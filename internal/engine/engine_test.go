@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"hotpaths/internal/coordinator"
@@ -76,10 +78,20 @@ func TestShardIndexStableAndInRange(t *testing.T) {
 	}
 }
 
+// modes names the filter-tier inputs each contract test runs under:
+// inline (Shards == 0) and sharded.
+func modes(sharded int) []int { return []int{0, sharded} }
+
 // The epoch-boundary barrier must drain every queued observation before
 // Stats are read, making the counters exact.
 func TestBarrierDrains(t *testing.T) {
-	e := testEngine(t, 8)
+	for _, shards := range modes(8) {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testBarrierDrains(t, shards) })
+	}
+}
+
+func testBarrierDrains(t *testing.T, shards int) {
+	e := testEngine(t, shards)
 	const n = 1000
 	batch := make([]Observation, n)
 	for i := range batch {
@@ -102,7 +114,13 @@ func TestBarrierDrains(t *testing.T) {
 // epoch-boundary Tick, naming the object — without suppressing the epoch
 // for everyone else.
 func TestProcessingErrorSurfaces(t *testing.T) {
-	e := testEngine(t, 4)
+	for _, shards := range modes(4) {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testProcessingErrorSurfaces(t, shards) })
+	}
+}
+
+func testProcessingErrorSurfaces(t *testing.T, shards int) {
+	e := testEngine(t, shards)
 	feed := []Observation{
 		{ObjectID: 7, P: geom.Pt(0, 0), T: 5},
 		{ObjectID: 7, P: geom.Pt(1, 1), T: 6},
@@ -149,7 +167,13 @@ func TestTickMonotonic(t *testing.T) {
 }
 
 func TestCloseSemantics(t *testing.T) {
-	e := testEngine(t, 4)
+	for _, shards := range modes(4) {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testCloseSemantics(t, shards) })
+	}
+}
+
+func testCloseSemantics(t *testing.T, shards int) {
+	e := testEngine(t, shards)
 	if err := e.Observe(Observation{ObjectID: 1, P: geom.Pt(0, 0), T: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +195,93 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	if paths := e.AllPaths(); paths == nil && len(paths) != 0 {
 		t.Error("AllPaths after Close must not panic")
+	}
+}
+
+// An inline Observe returns a per-object error at once — and only once:
+// the next epoch Tick does not repeat it.
+func TestInlineObserveErrorReturnedOnce(t *testing.T) {
+	e := testEngine(t, 0)
+	for _, o := range []Observation{
+		{ObjectID: 7, P: geom.Pt(0, 0), T: 5},
+		{ObjectID: 7, P: geom.Pt(1, 1), T: 6},
+	} {
+		if err := e.Observe(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := e.Observe(Observation{ObjectID: 7, P: geom.Pt(2, 2), T: 6}) // repeated timestamp
+	var objErr *ObjectError
+	if !errors.As(err, &objErr) || objErr.ObjectID != 7 {
+		t.Fatalf("inline Observe error = %v, want *ObjectError for object 7", err)
+	}
+	if err := e.Tick(10); err != nil {
+		t.Errorf("Tick repeated the Observe error: %v", err)
+	}
+	if got := e.Stats().Coordinator.Epochs; got != 1 {
+		t.Errorf("Epochs = %d, want 1", got)
+	}
+}
+
+// feedRoute drives objects along one shared zig-zag route, each a little
+// behind the previous, over the ticks in (from, to]: enough direction
+// changes to raise reports, and enough sharing to make crossings.
+func feedRoute(t *testing.T, e *Engine, from, to trajectory.Time) {
+	t.Helper()
+	const objects = 24
+	for now := from + 1; now <= to; now++ {
+		var batch []Observation
+		for id := 0; id < objects; id++ {
+			step := float64(now) - float64(id)
+			if step < 1 {
+				continue
+			}
+			y := 0.0
+			if int(step)/6%2 == 1 {
+				y = 40
+			}
+			batch = append(batch, Observation{ObjectID: id, P: geom.Pt(8*step, y+float64(id%4)/2), T: now})
+		}
+		if err := e.ObserveBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// State dumped from an inline engine restores into a 4-shard engine, and
+// the reverse, and the restored engine continues bit-identically to the
+// one that was dumped — mid-epoch, with reports pending.
+func TestStateCrossesFilterTiers(t *testing.T) {
+	for _, c := range []struct{ from, to int }{{0, 4}, {4, 0}} {
+		t.Run(fmt.Sprintf("shards=%d->%d", c.from, c.to), func(t *testing.T) {
+			src := testEngine(t, c.from)
+			feedRoute(t, src, 0, 95)
+			st, err := src.DumpState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Pending) == 0 {
+				t.Fatal("dump has no pending reports; the mid-epoch case is not exercised")
+			}
+			dst := testEngine(t, c.to)
+			if err := dst.RestoreState(st); err != nil {
+				t.Fatal(err)
+			}
+			feedRoute(t, src, 95, 200)
+			feedRoute(t, dst, 95, 200)
+			want, got := src.Stats(), dst.Stats()
+			if want.Reports == 0 || want.Coordinator.Crossings == 0 {
+				t.Fatalf("workload too tame to be meaningful: %+v", want)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("stats diverge after restore:\n dumped   %+v\n restored %+v", want, got)
+			}
+			if !reflect.DeepEqual(src.AllPaths(), dst.AllPaths()) {
+				t.Error("paths diverge after restore")
+			}
+		})
 	}
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // An ObjectError is a per-observation processing failure attributed to
-// one object, surfaced from the epoch-boundary Tick that follows it.
+// one object. Queued observations surface it from the epoch-boundary Tick
+// that follows; an inline-mode Observe returns it at once.
 // Tick wraps it ("engine: ..."), so callers classify with
 // errors.As(&ObjectError{}) — never by matching the rendered text
 // (the errstring contract).
@@ -53,7 +54,9 @@ type msg struct {
 // shard owns the RayTrace filters for the objects that hash to it. All
 // fields below the channel are owned by the shard goroutine while it runs;
 // the engine touches them only between a flush barrier and the next send,
-// which the channel synchronisation orders correctly.
+// which the channel synchronisation orders correctly. An inline engine's
+// single shard has no channel and no goroutine: its filters are stepped
+// under the engine's write lock.
 type shard struct {
 	ch   chan msg
 	done chan struct{}
@@ -67,15 +70,14 @@ type shard struct {
 	reports []taggedReport
 	err     error // first processing error since the last barrier
 
-	// Monotone counters, atomic so Stats can read them mid-flight.
+	// Monotone counters, atomic so Stats can read them mid-flight. An
+	// inline bank's observations are counted in Engine.observed instead.
 	observed atomic.Int64
 	reported atomic.Int64
 }
 
-func newShard(buffer int, tol func(sigmaX, sigmaY float64) raytrace.ToleranceFunc) *shard {
+func newShard(tol func(sigmaX, sigmaY float64) raytrace.ToleranceFunc) *shard {
 	return &shard{
-		ch:      make(chan msg, buffer),
-		done:    make(chan struct{}),
 		tol:     tol,
 		filters: make(map[int]*raytrace.Filter),
 		sigmas:  make(map[int][2]float64),
@@ -91,20 +93,31 @@ func (s *shard) run() {
 		case m.flush != nil:
 			close(m.flush)
 		case m.hasOne:
-			s.process(m.one)
+			s.observed.Add(1)
+			s.keep(s.process(m.one))
 		default:
 			for _, o := range m.obs {
-				s.process(o)
+				s.observed.Add(1)
+				s.keep(s.process(o))
 			}
 		}
 	}
 }
 
-// process mirrors System.observe: the first observation of an object seeds
-// its filter, later ones step the SSA, and violations queue a report for
-// the next epoch.
-func (s *shard) process(o obs) {
-	s.observed.Add(1)
+// keep remembers the first processing error since the last barrier, for
+// the next epoch-boundary Tick to surface.
+func (s *shard) keep(err error) {
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+}
+
+// process is the filter tier's per-observation step, run by the shard
+// goroutine or, in inline mode, by the caller: the first observation of an
+// object seeds its filter, later ones step the SSA, and violations queue a
+// report for the next epoch. A rejected observation leaves the filter
+// untouched and yields an *ObjectError.
+func (s *shard) process(o obs) error {
 	tp := trajectory.TP(o.P, o.T)
 	f, ok := s.filters[o.ObjectID]
 	if !ok {
@@ -112,14 +125,11 @@ func (s *shard) process(o obs) {
 		if o.SigmaX != 0 || o.SigmaY != 0 {
 			s.sigmas[o.ObjectID] = [2]float64{o.SigmaX, o.SigmaY}
 		}
-		return
+		return nil
 	}
 	st, report, err := f.Process(tp)
 	if err != nil {
-		if s.err == nil {
-			s.err = &ObjectError{ObjectID: o.ObjectID, Err: err}
-		}
-		return
+		return &ObjectError{ObjectID: o.ObjectID, Err: err}
 	}
 	if report {
 		s.reports = append(s.reports, taggedReport{
@@ -128,4 +138,5 @@ func (s *shard) process(o obs) {
 		})
 		s.reported.Add(1)
 	}
+	return nil
 }

@@ -18,11 +18,11 @@ type FilterEntry struct {
 }
 
 // State is the engine's complete mutable state, exported for
-// checkpointing. It is deployment-agnostic: the same State restores into
-// an Engine with any shard count, or into the single-goroutine
-// hotpaths.System, with bit-identical future behaviour — Pending holds
-// the next epoch's reports (follow-ups first, then observation-raised
-// reports) in the exact order that epoch's batch will process them.
+// checkpointing. It is independent of the filter tier's mode: the same
+// State restores into an engine with any shard count, inline included,
+// with bit-identical future behaviour — Pending holds the next epoch's
+// reports (follow-ups first, then observation-raised reports) in the
+// exact order that epoch's batch will process them.
 type State struct {
 	Clock        trajectory.Time
 	Observations int64
@@ -47,15 +47,15 @@ func (e *Engine) DumpState() (State, error) {
 	e.drainLocked()
 	for _, s := range e.shards {
 		e.staged = append(e.staged, s.reports...)
-		s.reports = nil
+		s.reports = s.reports[:0]
 	}
-	sort.Slice(e.staged, func(i, j int) bool { return e.staged[i].seq < e.staged[j].seq })
+	e.sortStaged()
 
 	st := State{
 		Clock:        e.lastNow,
 		Responses:    e.responses,
 		Reports:      int64(e.followed) + e.baseReported,
-		Observations: e.baseObserved,
+		Observations: e.observed,
 		Coord:        e.coord.DumpState(),
 	}
 	for _, s := range e.shards {
@@ -82,8 +82,9 @@ func (e *Engine) DumpState() (State, error) {
 }
 
 // RestoreState replaces the engine's state with a dumped one. The engine
-// must be freshly built from the same Config (any shard count); filters
-// are redistributed to the current shards by the object-id hash.
+// must be freshly built from the same Config (any shard count, or
+// inline); filters are redistributed to the current shards by the
+// object-id hash.
 func (e *Engine) RestoreState(st State) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -114,16 +115,20 @@ func (e *Engine) RestoreState(st State) error {
 	}
 	// Reinstate the pending batch with fresh ascending sequence numbers:
 	// reports raised after the restore get higher ones, so the next
-	// epoch's merge reproduces the dumped batch order exactly.
+	// epoch's merge reproduces the dumped batch order exactly. Every
+	// report needs its filter, or its response would have nowhere to go.
 	e.staged = nil
 	e.followUps = nil
 	for _, p := range st.Pending {
+		if _, ok := e.shards[e.shardIndex(p.ObjectID)].filters[p.ObjectID]; !ok {
+			return fmt.Errorf("engine: restored report for object %d has no filter", p.ObjectID)
+		}
 		e.staged = append(e.staged, taggedReport{seq: e.seq.Add(1) - 1, rep: p})
 	}
 	e.lastNow = st.Clock
 	e.responses = st.Responses
 	e.followed = 0
-	e.baseObserved = st.Observations
+	e.observed = st.Observations
 	e.baseReported = st.Reports
 	return nil
 }

@@ -3,10 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"hotpaths"
 	"hotpaths/internal/cluster"
-	"hotpaths/internal/coordinator"
 	"hotpaths/internal/geom"
-	"hotpaths/internal/raytrace"
 	"hotpaths/internal/trajectory"
 )
 
@@ -44,14 +43,14 @@ func MovingClusterContrast(objects int, spacing trajectory.Time, eps float64) (*
 		speed    = 10.0
 		park     = 15 // observations after arrival; the stop flushes the trip
 	)
-	routeLen := trajectory.Time(2*legSteps + park)
-	duration := spacing*trajectory.Time(objects) + routeLen + 20
-	w := duration // window covers every crossing
+	routeLen := int64(2*legSteps + park)
+	duration := int64(spacing)*int64(objects) + routeLen + 20
 
-	coord, err := coordinator.New(coordinator.Config{
-		Bounds: geom.Rect{Lo: geom.Pt(-100, -100), Hi: geom.Pt(1000, 1000)},
-		W:      w,
+	sys, err := hotpaths.New(hotpaths.Config{
 		Eps:    eps,
+		W:      duration, // window covers every crossing
+		Epoch:  10,
+		Bounds: hotpaths.Rect{Min: hotpaths.Pt(-100, -100), Max: hotpaths.Pt(1000, 1000)},
 	})
 	if err != nil {
 		return nil, err
@@ -74,69 +73,41 @@ func MovingClusterContrast(objects int, spacing trajectory.Time, eps float64) (*
 			return geom.Pt(float64(step)*speed, 0), true
 		case step <= 2*legSteps:
 			return geom.Pt(legSteps*speed, float64(step-legSteps)*speed), true
-		case step <= int64(routeLen):
+		case step <= routeLen:
 			return geom.Pt(legSteps*speed, legSteps*speed), true // parked
 		default:
 			return geom.Point{}, false
 		}
 	}
 
-	filters := make([]*raytrace.Filter, objects)
-	var pending []coordinator.Report
-	for now := trajectory.Time(1); now <= duration; now++ {
+	for now := int64(1); now <= duration; now++ {
 		snapshot := make(map[int]geom.Point)
 		for id := 0; id < objects; id++ {
-			p, ok := pos(int64(now) - int64(id)*int64(spacing))
+			p, ok := pos(now - int64(id)*int64(spacing))
 			if !ok {
 				continue
 			}
 			snapshot[id] = p
-			tp := trajectory.TP(p, now)
-			if filters[id] == nil {
-				filters[id] = raytrace.New(tp, eps)
-				continue
-			}
-			st, report, err := filters[id].Process(tp)
-			if err != nil {
+			if err := sys.Observe(id, p.X, p.Y, now); err != nil {
 				return nil, err
-			}
-			if report {
-				pending = append(pending, coordinator.Report{ObjectID: id, State: st})
 			}
 		}
 		if len(snapshot) > 0 {
-			if err := det.Observe(now, snapshot); err != nil {
+			if err := det.Observe(trajectory.Time(now), snapshot); err != nil {
 				return nil, err
 			}
 		}
-		coord.Advance(now)
-		if now%10 == 0 && len(pending) > 0 {
-			batch := pending
-			pending = nil
-			resps, err := coord.ProcessEpoch(batch)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range resps {
-				st, report, err := filters[r.ObjectID].Respond(r.End)
-				if err != nil {
-					return nil, err
-				}
-				if report {
-					pending = append(pending, coordinator.Report{ObjectID: r.ObjectID, State: st})
-				}
-			}
+		if err := sys.Tick(now); err != nil {
+			return nil, err
 		}
 	}
 
 	res := &ContrastResult{
 		MovingClusters: len(det.Close()),
-		PathsStored:    coord.IndexSize(),
+		PathsStored:    sys.Stats().IndexSize,
 	}
-	for _, hp := range coord.AllPaths() {
-		if hp.Hotness > res.MaxHotness {
-			res.MaxHotness = hp.Hotness
-		}
+	if top := sys.TopK(); len(top) > 0 {
+		res.MaxHotness = top[0].Hotness // TopK is hottest first
 	}
 	return res, nil
 }

@@ -301,6 +301,22 @@ var ErrSnapshotNeeded = errors.New("replication: primary cannot resume from this
 // not written one yet; the follower then replays from LSN 0.
 var ErrNoCheckpoint = errors.New("replication: primary has no checkpoint yet")
 
+// MaxCheckpointBytes bounds the checkpoint body Client.Checkpoint reads
+// from a peer, so a broken or hostile primary cannot exhaust a follower's
+// memory. It sits far above the checkpoints real deployments write: a
+// few MiB for the paper's 5000-object Athens traffic.
+const MaxCheckpointBytes = 256 << 20
+
+// A CheckpointTooLargeError is returned by Client.Checkpoint when the
+// peer's checkpoint body exceeds Limit bytes.
+type CheckpointTooLargeError struct {
+	Limit int64
+}
+
+func (e *CheckpointTooLargeError) Error() string {
+	return fmt.Sprintf("replication: checkpoint body exceeds %d bytes", e.Limit)
+}
+
 // Client fetches a primary's replication feed.
 type Client struct {
 	// Base is the primary's base URL, e.g. "http://primary:8080".
@@ -347,7 +363,8 @@ func (c *Client) Meta(ctx context.Context) ([]byte, error) {
 }
 
 // Checkpoint fetches the primary's newest checkpoint blob and the LSN its
-// state covers up to. ErrNoCheckpoint when none exists yet.
+// state covers up to. ErrNoCheckpoint when none exists yet, and
+// *CheckpointTooLargeError when the body exceeds MaxCheckpointBytes.
 func (c *Client) Checkpoint(ctx context.Context) (lsn uint64, payload []byte, err error) {
 	resp, err := c.get(ctx, CheckpointPath)
 	if err != nil {
@@ -364,11 +381,28 @@ func (c *Client) Checkpoint(ctx context.Context) (lsn uint64, payload []byte, er
 	if err != nil {
 		return 0, nil, fmt.Errorf("replication: checkpoint response has bad %s header: %w", HeaderCheckpointLSN, err)
 	}
-	payload, err = io.ReadAll(resp.Body)
+	payload, err = readCapped(resp.Body, resp.ContentLength, MaxCheckpointBytes)
 	if err != nil {
 		return 0, nil, fmt.Errorf("replication: read checkpoint body: %w", err)
 	}
 	return lsn, payload, nil
+}
+
+// readCapped reads body whole unless it is longer than limit bytes. A
+// declared length over the limit is refused before reading; an
+// undeclared one (declared < 0) is read at most one byte past it.
+func readCapped(body io.Reader, declared, limit int64) ([]byte, error) {
+	if declared > limit {
+		return nil, &CheckpointTooLargeError{Limit: limit}
+	}
+	b, err := io.ReadAll(io.LimitReader(body, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(b)) > limit {
+		return nil, &CheckpointTooLargeError{Limit: limit}
+	}
+	return b, nil
 }
 
 // Stream connects to the primary's WAL stream at LSN from and delivers

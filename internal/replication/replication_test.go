@@ -1,12 +1,14 @@
 package replication
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,6 +193,49 @@ func TestCheckpointMissing(t *testing.T) {
 	c := &Client{Base: srv.URL}
 	if _, _, err := c.Checkpoint(context.Background()); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("got %v, want ErrNoCheckpoint", err)
+	}
+}
+
+// TestCheckpointOversizedBody: a peer serving a checkpoint body over
+// MaxCheckpointBytes is refused with the typed error, before the follower
+// buffers it.
+func TestCheckpointOversizedBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(HeaderCheckpointLSN, "7")
+		w.Header().Set("Content-Length", strconv.FormatInt(MaxCheckpointBytes+1, 10))
+		chunk := make([]byte, 64<<10)
+		for sent := int64(0); sent <= MaxCheckpointBytes; sent += int64(len(chunk)) {
+			if _, err := w.Write(chunk); err != nil {
+				return // the client hung up, as it should
+			}
+		}
+	}))
+	defer srv.Close()
+	c := &Client{Base: srv.URL}
+	_, payload, err := c.Checkpoint(context.Background())
+	var tooLarge *CheckpointTooLargeError
+	if !errors.As(err, &tooLarge) || tooLarge.Limit != MaxCheckpointBytes {
+		t.Fatalf("got %v, want *CheckpointTooLargeError{Limit: %d}", err, int64(MaxCheckpointBytes))
+	}
+	if payload != nil {
+		t.Errorf("oversized checkpoint returned %d payload bytes", len(payload))
+	}
+}
+
+// A body of undeclared length is read at most one byte past the cap.
+func TestReadCappedUndeclaredLength(t *testing.T) {
+	const limit = 10
+	if b, err := readCapped(bytes.NewReader(make([]byte, limit)), -1, limit); err != nil || len(b) != limit {
+		t.Fatalf("body at the cap: %d bytes, %v", len(b), err)
+	}
+	body := bytes.NewReader(make([]byte, 100))
+	_, err := readCapped(body, -1, limit)
+	var tooLarge *CheckpointTooLargeError
+	if !errors.As(err, &tooLarge) {
+		t.Fatalf("body past the cap: got %v, want *CheckpointTooLargeError", err)
+	}
+	if read := 100 - body.Len(); read != limit+1 {
+		t.Errorf("read %d bytes of an oversized body, want %d", read, limit+1)
 	}
 }
 

@@ -24,12 +24,9 @@ func (t *Tracer) Middleware(route string, h http.HandlerFunc) http.HandlerFunc {
 			h(w, r)
 			return
 		}
-		rec := &responseRecorder{ResponseWriter: w}
+		rec := &StatusRecorder{ResponseWriter: w}
 		h(rec, r.WithContext(ctx))
-		status := rec.status
-		if status == 0 {
-			status = http.StatusOK
-		}
+		status := rec.Status()
 		span.SetAttr("http.method", r.Method)
 		span.SetAttr("http.status", status)
 		dur := span.End()
@@ -46,43 +43,55 @@ func (t *Tracer) Middleware(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// responseRecorder captures the status code while forwarding the optional
-// ResponseWriter interfaces (Flusher for SSE, Hijacker for connection
-// takeover, ReaderFrom for sendfile) to the underlying writer when it
-// supports them.
-type responseRecorder struct {
+// StatusRecorder is the one ResponseWriter wrapper of the HTTP
+// middleware stacks: it captures the response status for spans and
+// status-class counters. It implements Flusher unconditionally, so SSE
+// handlers (/watch, /wal/stream) that type-assert their writer keep
+// streaming through it, and forwards Hijacker and ReaderFrom to the
+// underlying writer when it supports them (connection takeover and
+// sendfile keep working behind the middleware).
+type StatusRecorder struct {
 	http.ResponseWriter
 	status int
 }
 
-func (r *responseRecorder) WriteHeader(code int) {
+// Status returns the status the handler sent, or 200 when it wrote
+// nothing: net/http's implicit status.
+func (r *StatusRecorder) Status() int {
+	if r.status == 0 {
+		return http.StatusOK
+	}
+	return r.status
+}
+
+func (r *StatusRecorder) WriteHeader(code int) {
 	if r.status == 0 {
 		r.status = code
 	}
 	r.ResponseWriter.WriteHeader(code)
 }
 
-func (r *responseRecorder) Write(b []byte) (int, error) {
+func (r *StatusRecorder) Write(b []byte) (int, error) {
 	if r.status == 0 {
 		r.status = http.StatusOK
 	}
 	return r.ResponseWriter.Write(b)
 }
 
-func (r *responseRecorder) Flush() {
+func (r *StatusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
 
-func (r *responseRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+func (r *StatusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 	if hj, ok := r.ResponseWriter.(http.Hijacker); ok {
 		return hj.Hijack()
 	}
 	return nil, nil, fmt.Errorf("tracing: underlying ResponseWriter does not support hijacking")
 }
 
-func (r *responseRecorder) ReadFrom(src io.Reader) (int64, error) {
+func (r *StatusRecorder) ReadFrom(src io.Reader) (int64, error) {
 	if r.status == 0 {
 		r.status = http.StatusOK
 	}

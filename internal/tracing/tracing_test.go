@@ -360,3 +360,45 @@ func TestSetupSlogFormats(t *testing.T) {
 		t.Fatal("unknown format must error")
 	}
 }
+
+// plainWriter is a ResponseWriter with none of the optional interfaces.
+type plainWriter struct {
+	h      http.Header
+	status int
+	body   strings.Builder
+}
+
+func (w *plainWriter) Header() http.Header         { return w.h }
+func (w *plainWriter) Write(b []byte) (int, error) { return w.body.Write(b) }
+func (w *plainWriter) WriteHeader(code int)        { w.status = code }
+
+// The shared recorder reports net/http's implicit 200, keeps the first
+// status, and degrades safely over a writer lacking the optional
+// interfaces: ReadFrom falls back to a copy that cannot recurse into
+// itself, Hijack errors, and Flush is a no-op.
+func TestStatusRecorder(t *testing.T) {
+	if got := (&StatusRecorder{ResponseWriter: &plainWriter{}}).Status(); got != http.StatusOK {
+		t.Errorf("nothing written: Status = %d, want 200", got)
+	}
+	w := &plainWriter{h: http.Header{}}
+	rec := &StatusRecorder{ResponseWriter: w}
+	rec.WriteHeader(http.StatusNotFound)
+	rec.WriteHeader(http.StatusOK)
+	if rec.Status() != http.StatusNotFound {
+		t.Errorf("Status = %d, want the first code 404", rec.Status())
+	}
+
+	w = &plainWriter{h: http.Header{}}
+	rec = &StatusRecorder{ResponseWriter: w}
+	n, err := rec.ReadFrom(strings.NewReader("streamed"))
+	if err != nil || n != 8 || w.body.String() != "streamed" {
+		t.Errorf("ReadFrom = %d, %v; body %q", n, err, w.body.String())
+	}
+	if rec.Status() != http.StatusOK {
+		t.Errorf("ReadFrom status = %d, want 200", rec.Status())
+	}
+	rec.Flush()
+	if _, _, err := rec.Hijack(); err == nil {
+		t.Error("Hijack over a non-hijacker must error")
+	}
+}

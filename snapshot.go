@@ -10,13 +10,14 @@ import (
 )
 
 // Source is the common surface of the package's deployments: the
-// single-goroutine System, the concurrent sharded Engine, the journaled
-// Durable, and the replicated Follower. Callers that ingest a stream and
+// inline System, the concurrent sharded Engine, the journaled Durable,
+// and the replicated Follower. Callers that ingest a stream and
 // read results back — replay tools, network frontends, tests — can be
 // written once against Source and handed any of them.
 //
-// The concurrency contract stays per-implementation: System must be driven
-// from one goroutine; Engine accepts concurrent Observes. Snapshot is the
+// Every implementation accepts calls from many goroutines; a System
+// serialises them, so it gains nothing from concurrent producers.
+// Snapshot is the
 // read side — an immutable view the caller can query freely. A Follower
 // implements only the read half: its write methods (Observe, Tick and the
 // Observe variants) always return ErrReadOnly, because its state is
@@ -115,12 +116,6 @@ type Snapshot struct {
 	clock int64
 	stats Stats
 	k     int
-}
-
-// Snapshot captures an immutable view of the system's current hot paths,
-// counters and clock.
-func (s *System) Snapshot() Snapshot {
-	return Snapshot{snap: s.coord.Snapshot(), clock: s.lastNow, stats: s.Stats(), k: s.cfg.K}
 }
 
 // Snapshot captures an immutable view of the engine's hot paths, counters

@@ -413,37 +413,20 @@ func diffResults(prev, cur []HotPath, order SortOrder) Delta {
 	return Delta{Entered: entered, Changed: changed, Left: left, Order: order}
 }
 
-// Subscribe registers a standing query with the system. The first delta
-// is the query's current result; afterwards one delta arrives per epoch
-// boundary (ticks that fire an epoch). Subscribe itself must be called
-// from the goroutine driving the System — it reads live state — but the
-// returned subscription's channel and Close are safe anywhere.
-func (s *System) Subscribe(q Query) (*Subscription, error) {
-	return s.subs.subscribe(q, s.Snapshot)
-}
-
 // Subscribe registers a standing query with the engine. It is safe to
 // call concurrently with ingestion and Tick; deltas are published after
-// the epoch barrier, under the same ordering guarantees that make the
-// Engine bit-identical to the System, so the delta stream for a given
-// input schedule is deterministic. After Close the engine publishes no
+// the epoch barrier, under the same ordering guarantees that make a
+// sharded Engine bit-identical to a System, so the delta stream for a
+// given input schedule is deterministic. After Close the engine publishes no
 // further epochs, so Subscribe fails with ErrSourceClosed.
 func (e *Engine) Subscribe(q Query) (*Subscription, error) {
 	return e.subs.subscribe(q, e.Snapshot)
 }
 
 // Subscribe registers a standing query with the durable deployment,
-// delegating to the backing System or Engine: deltas fire at the same
-// epoch boundaries, so a Durable emits the identical stream to the bare
-// deployment fed the same journal.
+// delegating to its Engine: deltas fire at the same epoch boundaries, so
+// a Durable emits the identical stream to the bare deployment fed the
+// same journal.
 func (d *Durable) Subscribe(q Query) (*Subscription, error) {
-	if d.eng != nil {
-		return d.eng.Subscribe(q)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, ErrSourceClosed
-	}
-	return d.sys.Subscribe(q)
+	return d.eng.Subscribe(q)
 }
